@@ -77,11 +77,11 @@ use prisma_multicomputer::StreamReassembly;
 use prisma_optimizer::cse::{detect_common_subexpressions, plan_key};
 use prisma_optimizer::{lower_physical, PhysicalConfig, Trace};
 use prisma_poolx::{ExternalMailbox, PoolRuntime};
-use prisma_relalg::agg::Accumulator;
 use prisma_ofm::{SHUFFLE_LEFT, SHUFFLE_RIGHT};
+use prisma_relalg::exec::collect_batches;
 use prisma_relalg::{
-    execute_physical, AggExpr, AggFunc, Batch, JoinKind, JoinStrategy, LogicalPlan, PhysicalPlan,
-    Relation, ShufflePlacement,
+    execute_physical, AggExpr, AggFunc, Batch, GroupTable, JoinKind, JoinStrategy, LogicalPlan,
+    PhysicalPlan, Relation, ShufflePlacement,
 };
 use prisma_types::{FragmentId, PrismaError, QueryId, Result, Schema, Tuple, Value};
 
@@ -513,15 +513,15 @@ impl ParallelExecutor {
                     group_by: group_by.clone(),
                     aggs: aggs.clone(),
                 };
-                let mut merger = PartialMerger::new(group_by.len(), aggs);
+                let mut merge = partial_merge_table(group_by.len(), aggs);
                 self.stream_fragments(
                     &partial_plan,
                     &relation,
                     HashMap::new(),
                     q,
-                    &mut |batch| merger.consume(&batch),
+                    &mut |batch| merge.consume(&batch),
                 )?;
-                Ok(Arc::new(merger.finish(plan, aggs)?))
+                Ok(Arc::new(finish_partial_merge(merge, plan, aggs)?))
             }
             // 4. Recursive operators need their fixpoint bindings intact:
             //    materialize base relations and execute in one piece.
@@ -1488,99 +1488,53 @@ fn decomposable(aggs: &[AggExpr]) -> bool {
     })
 }
 
-/// Incremental merge of per-fragment partial aggregates: COUNT→SUM,
-/// SUM→SUM, MIN→MIN, MAX→MAX, re-grouped on the same keys. Partial
-/// batches feed the merge accumulators the moment they arrive — no
-/// materialized partials relation exists at any point.
-struct PartialMerger {
-    group_cols: Vec<usize>,
-    merge_funcs: Vec<AggFunc>,
-    groups: HashMap<Vec<Value>, Vec<Accumulator>>,
-    /// First-seen order of group keys (stable output like the batch
-    /// executor's hash aggregate).
-    order: Vec<Vec<Value>>,
-}
-
-impl PartialMerger {
-    fn new(num_group_cols: usize, aggs: &[AggExpr]) -> Self {
-        let merge_funcs = aggs
-            .iter()
-            .map(|a| match a.func {
+/// The coordinator's incremental merge of per-fragment partial
+/// aggregates: COUNT→SUM, SUM→SUM, MIN→MIN, MAX→MAX over the partials'
+/// own columns, re-grouped on the same keys by the executor's
+/// [`GroupTable`]. Partial batches fold the moment they arrive — no
+/// materialized partials relation exists at any point — so fragments'
+/// partials fold in *arrival* order: a `DOUBLE` SUM merged here can
+/// round differently between runs, unlike the executor's row-order fold
+/// within one fragment.
+fn partial_merge_table(num_group_cols: usize, aggs: &[AggExpr]) -> GroupTable {
+    let merge_aggs = aggs
+        .iter()
+        .enumerate()
+        .map(|(i, a)| {
+            let func = match a.func {
                 AggFunc::CountStar | AggFunc::Count | AggFunc::Sum => AggFunc::Sum,
                 AggFunc::Min => AggFunc::Min,
                 AggFunc::Max => AggFunc::Max,
                 AggFunc::Avg => unreachable!("guarded by decomposable()"),
-            })
-            .collect();
-        PartialMerger {
-            group_cols: (0..num_group_cols).collect(),
-            merge_funcs,
-            groups: HashMap::new(),
-            order: Vec::new(),
-        }
-    }
-
-    /// Fold one arriving partial batch into the merge accumulators.
-    fn consume(&mut self, batch: &Batch) -> Result<()> {
-        let PartialMerger {
-            group_cols,
-            merge_funcs,
-            groups,
-            order,
-        } = self;
-        for row in 0..batch.len() {
-            let key = batch.key_at(row, group_cols);
-            let accs = groups.entry(key.clone()).or_insert_with(|| {
-                order.push(key);
-                merge_funcs.iter().map(|&f| Accumulator::new(f)).collect()
-            });
-            for (i, acc) in accs.iter_mut().enumerate() {
-                acc.update(&batch.value_at(row, group_cols.len() + i))?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Finish the merge into the original aggregate's output relation.
-    fn finish(self, original: &LogicalPlan, aggs: &[AggExpr]) -> Result<Relation> {
-        let final_schema = original.output_schema()?;
-        let num_group_cols = self.group_cols.len();
-        // A global (ungrouped) aggregate always yields one row, even over
-        // zero fragment partials; and COUNT over zero matching rows must
-        // be 0, not the NULL a SUM-merge of nothing produces.
-        if num_group_cols == 0 {
-            let row: Vec<Value> = match self.order.first() {
-                Some(key) => self.groups[key].iter().map(Accumulator::finish).collect(),
-                None => self
-                    .merge_funcs
-                    .iter()
-                    .map(|&f| Accumulator::new(f).finish())
-                    .collect(),
             };
-            let fixed: Vec<Value> = row
-                .into_iter()
-                .zip(aggs)
-                .map(|(v, a)| {
-                    if v.is_null()
-                        && matches!(a.func, AggFunc::Count | AggFunc::CountStar)
-                    {
-                        Value::Int(0)
-                    } else {
-                        v
-                    }
-                })
-                .collect();
-            return Ok(Relation::new(final_schema, vec![Tuple::new(fixed)]));
-        }
-        let mut tuples = Vec::with_capacity(self.order.len());
-        for key in &self.order {
-            let accs = &self.groups[key];
-            let mut row = key.clone();
-            row.extend(accs.iter().map(Accumulator::finish));
-            tuples.push(Tuple::new(row));
-        }
-        Ok(Relation::new(final_schema, tuples))
+            AggExpr::new(func, num_group_cols + i, a.name.clone())
+        })
+        .collect();
+    GroupTable::new((0..num_group_cols).collect(), merge_aggs)
+}
+
+/// Finish the merge into the original aggregate's output relation.
+fn finish_partial_merge(
+    merge: GroupTable,
+    original: &LogicalPlan,
+    aggs: &[AggExpr],
+) -> Result<Relation> {
+    let rel = collect_batches(original.output_schema()?, merge.into_batches());
+    if !matches!(original, LogicalPlan::Aggregate { group_by, .. } if group_by.is_empty()) {
+        return Ok(rel);
     }
+    // A global aggregate's COUNT over zero fragment partials must be 0,
+    // not the NULL a SUM-merge of nothing produces.
+    let row: Vec<Value> = rel.tuples()[0]
+        .values()
+        .iter()
+        .zip(aggs)
+        .map(|(v, a)| match (v, a.func) {
+            (Value::Null, AggFunc::Count | AggFunc::CountStar) => Value::Int(0),
+            _ => v.clone(),
+        })
+        .collect();
+    Ok(Relation::new(rel.schema().clone(), vec![Tuple::new(row)]))
 }
 
 /// Schema helper re-exported for the facade.

@@ -80,7 +80,10 @@ impl AggExpr {
     }
 }
 
-/// Streaming accumulator for one aggregate over one group.
+/// Row-at-a-time accumulator for one aggregate over one group — the
+/// reference evaluator's ([`mod@crate::eval`]). The executor folds through
+/// the typed [`crate::group::GroupTable`] instead, and must agree with
+/// this bit for bit.
 #[derive(Debug, Clone)]
 pub struct Accumulator {
     func: AggFunc,
@@ -133,38 +136,6 @@ impl Accumulator {
                 }
             }
             AggFunc::Count | AggFunc::CountStar => {}
-        }
-        Ok(())
-    }
-
-    /// Fold another partial accumulator of the same function into this
-    /// one, as if every value `other` saw had been fed to `self`. This is
-    /// the pipeline-breaker step of morsel-parallel aggregation: each
-    /// worker accumulates privately, then the partials merge. All the
-    /// functions here are commutative-associative folds, so `self` first
-    /// vs `other` first only matters for floating-point rounding — and
-    /// the executor merges partials in morsel order precisely so the
-    /// result is bit-identical to the serial scan.
-    pub fn merge(&mut self, other: &Accumulator) -> Result<()> {
-        debug_assert_eq!(self.func, other.func);
-        self.count += other.count;
-        if let Some(v) = &other.sum {
-            self.sum = Some(match &self.sum {
-                None => v.clone(),
-                Some(acc) => acc
-                    .add(v)
-                    .ok_or_else(|| PrismaError::Arithmetic(format!("SUM overflow at {v}")))?,
-            });
-        }
-        if let Some(v) = &other.min {
-            if self.min.as_ref().is_none_or(|m| v < m) {
-                self.min = Some(v.clone());
-            }
-        }
-        if let Some(v) = &other.max {
-            if self.max.as_ref().is_none_or(|m| v > m) {
-                self.max = Some(v.clone());
-            }
         }
         Ok(())
     }
@@ -240,38 +211,6 @@ mod tests {
             AggExpr::new(AggFunc::Min, 0, "m").output_type(DataType::Str).unwrap(),
             DataType::Str
         );
-    }
-
-    #[test]
-    fn merged_partials_agree_with_one_pass() {
-        let vals: Vec<Value> = (0..100)
-            .map(|i| if i % 7 == 0 { Value::Null } else { Value::Int(i) })
-            .collect();
-        for func in [
-            AggFunc::CountStar,
-            AggFunc::Count,
-            AggFunc::Sum,
-            AggFunc::Min,
-            AggFunc::Max,
-            AggFunc::Avg,
-        ] {
-            let serial = run(func, &vals);
-            // Split into three uneven partials and merge in order.
-            let mut merged = Accumulator::new(func);
-            for chunk in [&vals[..13], &vals[13..60], &vals[60..]] {
-                let mut part = Accumulator::new(func);
-                for v in chunk {
-                    part.update(v).unwrap();
-                }
-                merged.merge(&part).unwrap();
-            }
-            assert_eq!(merged.finish(), serial, "{func}");
-        }
-        // Merging an empty partial is a no-op.
-        let mut acc = Accumulator::new(AggFunc::Min);
-        acc.update(&Value::Int(5)).unwrap();
-        acc.merge(&Accumulator::new(AggFunc::Min)).unwrap();
-        assert_eq!(acc.finish(), Value::Int(5));
     }
 
     #[test]

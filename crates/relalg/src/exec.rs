@@ -56,11 +56,11 @@ use std::sync::{Arc, OnceLock};
 
 use prisma_poolx::WorkerPool;
 use prisma_storage::expr::{CompiledPredicate, CompiledVecExpr, CompiledVecPredicate};
-use prisma_storage::{FastMap, FastSet, FnvBuild};
+use prisma_storage::{FastSet, FnvBuild};
 use prisma_types::{ColumnVec, LazyColumns, PrismaError, Result, Schema, SelVec, Tuple, Value};
 
-use crate::agg::{Accumulator, AggExpr};
 use crate::eval::{transitive_closure, EvalContext, RelationProvider};
+use crate::group::GroupTable;
 use crate::morsel::{self, JoinTable, ParPipelineOp, Stage};
 use crate::physical::PhysicalPlan;
 use crate::plan::JoinKind;
@@ -302,9 +302,11 @@ impl Batch {
         }
     }
 
-    /// Hash/group key of the `row`-th live row — the columnar analogue of
-    /// [`Tuple::key`], used by hash-join and hash-aggregate so key
-    /// extraction never forces a pivot back to rows.
+    /// Hash key of the `row`-th live row — the columnar analogue of
+    /// [`Tuple::key`], used by the hash join and the shuffle's bucket
+    /// placement so key extraction never forces a pivot back to rows.
+    /// (Hash aggregation hashes and compares key columns in place through
+    /// [`crate::group::GroupTable`] instead.)
     pub fn key_at(&self, row: usize, key_cols: &[usize]) -> Vec<Value> {
         key_cols.iter().map(|&c| self.value_at(row, c)).collect()
     }
@@ -629,11 +631,11 @@ pub(crate) fn open_with(
             group_by,
             aggs,
         } => Box::new(HashAggOp {
-            child: Some(open_with(input, ctx, pool)?),
-            schema: plan.output_schema()?,
-            group_by: group_by.clone(),
-            aggs: aggs.clone(),
-            output: None,
+            pending: Some((
+                open_with(input, ctx, pool)?,
+                GroupTable::new(group_by.clone(), aggs.clone()),
+            )),
+            output: Vec::new().into_iter(),
             pool: pool.map(Arc::clone),
         }),
         PhysicalPlan::Sort { input, keys } => Box::new(SortOp {
@@ -1307,74 +1309,30 @@ impl Operator for DistinctOp {
     }
 }
 
+/// Hash aggregation through a [`GroupTable`]: the input folds batch by
+/// batch (serial) or as morsels on the pool, and the groups leave as
+/// columnar batches.
 struct HashAggOp {
-    child: Option<BoxOp>,
-    schema: Schema,
-    group_by: Vec<usize>,
-    aggs: Vec<AggExpr>,
-    output: Option<ScanOp>,
-    /// Morsel-parallel partial aggregation when attached; partials merge
-    /// in chunk order, so group order and float rounding match serial.
+    /// The input and the table it folds into, until the first pull.
+    pending: Option<(BoxOp, GroupTable)>,
+    output: std::vec::IntoIter<Batch>,
     pool: Option<Arc<WorkerPool>>,
-}
-
-impl HashAggOp {
-    fn run(&mut self) -> Result<Vec<Tuple>> {
-        let mut child = self.child.take().expect("aggregate runs once");
-        // Grouping consumes the columnar form directly: group keys and
-        // aggregate inputs are read from the column vectors, so a
-        // filtered/projected input never pivots back to tuples.
-        let (groups, order) = match &self.pool {
-            Some(pool) => {
-                let batches = drain(child.as_mut())?;
-                morsel::parallel_aggregate(pool, &batches, &self.group_by, &self.aggs)?
-            }
-            None => {
-                let mut groups: FastMap<Vec<Value>, Vec<Accumulator>> = FastMap::default();
-                let mut order: Vec<Vec<Value>> = Vec::new();
-                while let Some(batch) = child.next_batch()? {
-                    morsel::update_agg_batch(
-                        &mut groups,
-                        &mut order,
-                        &batch,
-                        &self.group_by,
-                        &self.aggs,
-                    )?;
-                }
-                (groups, order)
-            }
-        };
-        // Global aggregate over empty input still yields one row.
-        if self.group_by.is_empty() && groups.is_empty() {
-            let row: Vec<Value> = self
-                .aggs
-                .iter()
-                .map(|a| Accumulator::new(a.func).finish())
-                .collect();
-            return Ok(vec![Tuple::new(row)]);
-        }
-        let mut tuples = Vec::with_capacity(order.len());
-        for key in order {
-            let accs = &groups[&key];
-            let mut row = key;
-            row.extend(accs.iter().map(Accumulator::finish));
-            tuples.push(Tuple::new(row));
-        }
-        Ok(tuples)
-    }
 }
 
 impl Operator for HashAggOp {
     fn next_batch(&mut self) -> Result<Option<Batch>> {
-        if self.output.is_none() {
-            let rows = self.run()?;
-            self.output = Some(ScanOp {
-                rel: Arc::new(Relation::new(self.schema.clone(), rows)),
-                projection: None,
-                pos: 0,
-            });
+        if let Some((mut child, mut table)) = self.pending.take() {
+            match &self.pool {
+                Some(pool) => table.consume_pooled(pool, &drain(child.as_mut())?)?,
+                None => {
+                    while let Some(batch) = child.next_batch()? {
+                        table.consume(&batch)?;
+                    }
+                }
+            }
+            self.output = table.into_batches().into_iter();
         }
-        self.output.as_mut().expect("set above").next_batch()
+        Ok(self.output.next())
     }
 }
 
@@ -1452,7 +1410,7 @@ mod tests {
     use std::collections::HashMap;
 
     use super::*;
-    use crate::agg::AggFunc;
+    use crate::agg::{AggExpr, AggFunc};
     use crate::eval::eval;
     use crate::physical::lower;
     use crate::plan::LogicalPlan;

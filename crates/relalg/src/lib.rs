@@ -20,11 +20,14 @@
 //!   streamed batch shipping pulls through);
 //! * [`mod@eval`] — the reference evaluator, kept as the semantics oracle for
 //!   tests (the executor must agree with it on every plan);
-//! * [`agg`] — aggregate functions.
+//! * [`group`] — the typed columnar group table behind every executor
+//!   aggregate (serial, pooled, and the coordinator's partial merge);
+//! * [`agg`] — aggregate functions (and the oracle's accumulator).
 
 pub mod agg;
 pub mod eval;
 pub mod exec;
+pub mod group;
 pub mod morsel;
 pub mod physical;
 pub mod plan;
@@ -36,6 +39,7 @@ pub use exec::{
     chunk_scan_counters, execute_batches, execute_physical, open_batches, open_batches_pooled,
     Batch, BatchStream, Operator, BATCH_SIZE,
 };
+pub use group::GroupTable;
 pub use physical::{lower, lower_with, JoinStrategy, PhysicalPlan, ShufflePlacement};
 pub use plan::{JoinKind, LogicalPlan};
 pub use table::{ChunkedRelation, Relation};

@@ -13,16 +13,23 @@
 //! * a hash-join build side is split into contiguous batch chunks, each
 //!   worker builds a private partial table, and the partials merge at
 //!   the pipeline breaker in chunk order;
-//! * a hash-aggregate input likewise folds into per-worker partial
-//!   group tables merged in chunk order (see [`Accumulator::merge`]);
 //! * probe batches are themselves split row-wise across workers, with
 //!   per-morsel outputs concatenated in order.
 //!
+//! (Hash aggregation parallelizes inside [`crate::group::GroupTable`]:
+//! workers compute morsel-local group ids, and the fold runs in row
+//! order.)
+//!
 //! **Every merge is ordered by morsel position**, which makes pooled
 //! execution *bit-identical* to the serial baseline — same batches, same
-//! row order, same float rounding — not merely equal up to reordering.
-//! Determinism therefore cannot depend on steal interleavings; only the
-//! wall-clock (and the pool's busy/steal counters) do.
+//! row order — not merely equal up to reordering. No pooled operator
+//! re-associates floating-point arithmetic: join builds and probes only
+//! move rows, and the group table folds every aggregate in input-row
+//! order, so `DOUBLE` sums round exactly as the serial scan's (merging
+//! per-chunk partial sums would not: their rounding depends on where the
+//! chunk boundaries fall, i.e. on the worker count). Determinism
+//! therefore cannot depend on steal interleavings; only the wall-clock
+//! (and the pool's busy/steal counters) do.
 //!
 //! Parallelism stays strictly inside the PE: this module never touches
 //! the actor runtime, the traffic ledger, or the wire protocol. A
@@ -36,7 +43,6 @@ use prisma_poolx::{Job, WorkerPool};
 use prisma_storage::FastMap;
 use prisma_types::{Result, SelVec, Tuple, Value};
 
-use crate::agg::{Accumulator, AggExpr, AggFunc};
 use crate::exec::{Batch, Operator, BATCH_SIZE};
 use crate::table::Relation;
 
@@ -367,103 +373,6 @@ where
         out.extend(s);
     }
     out
-}
-
-// ---------------- hash-aggregate helpers ----------------
-
-/// One worker's partial aggregation state: group table plus first-seen
-/// key order *within the worker's contiguous chunk*.
-struct AggPartial {
-    groups: FastMap<Vec<Value>, Vec<Accumulator>>,
-    order: Vec<Vec<Value>>,
-}
-
-/// Aggregate the drained input in parallel: per-worker partials over
-/// contiguous batch chunks, folded in chunk order. Because chunks are
-/// contiguous and partial key orders are first-seen, folding them in
-/// chunk order reproduces the serial first-seen group order and the
-/// serial accumulator fold order exactly.
-#[allow(clippy::type_complexity)]
-pub(crate) fn parallel_aggregate(
-    pool: &WorkerPool,
-    batches: &[Batch],
-    group_by: &[usize],
-    aggs: &[AggExpr],
-) -> Result<(FastMap<Vec<Value>, Vec<Accumulator>>, Vec<Vec<Value>>)> {
-    let chunks = chunk_ranges(batches.len(), pool.workers());
-    let mut partials: Vec<Option<Result<AggPartial>>> = chunks.iter().map(|_| None).collect();
-    {
-        let jobs: Vec<Job> = partials
-            .iter_mut()
-            .zip(&chunks)
-            .map(|(slot, &(start, end))| {
-                Box::new(move || {
-                    *slot = Some(aggregate_chunk(&batches[start..end], group_by, aggs));
-                }) as Job
-            })
-            .collect();
-        pool.run(jobs);
-    }
-    let mut groups: FastMap<Vec<Value>, Vec<Accumulator>> = FastMap::default();
-    let mut order: Vec<Vec<Value>> = Vec::new();
-    for partial in partials.into_iter().flatten() {
-        let partial = partial?;
-        for key in partial.order {
-            let accs = &partial.groups[&key];
-            match groups.get_mut(&key) {
-                Some(existing) => {
-                    for (acc, part) in existing.iter_mut().zip(accs) {
-                        acc.merge(part)?;
-                    }
-                }
-                None => {
-                    order.push(key.clone());
-                    groups.insert(key, accs.clone());
-                }
-            }
-        }
-    }
-    Ok((groups, order))
-}
-
-/// Serial aggregation over one contiguous chunk of batches.
-fn aggregate_chunk(batches: &[Batch], group_by: &[usize], aggs: &[AggExpr]) -> Result<AggPartial> {
-    let mut partial = AggPartial {
-        groups: FastMap::default(),
-        order: Vec::new(),
-    };
-    for batch in batches {
-        update_agg_batch(&mut partial.groups, &mut partial.order, batch, group_by, aggs)?;
-    }
-    Ok(partial)
-}
-
-/// Fold one batch into a group table, recording first-seen key order —
-/// the update loop shared by the serial `HashAggOp` and every parallel
-/// partial, so the two paths cannot diverge.
-pub(crate) fn update_agg_batch(
-    groups: &mut FastMap<Vec<Value>, Vec<Accumulator>>,
-    order: &mut Vec<Vec<Value>>,
-    batch: &Batch,
-    group_by: &[usize],
-    aggs: &[AggExpr],
-) -> Result<()> {
-    for row in 0..batch.len() {
-        let key = batch.key_at(row, group_by);
-        let accs = groups.entry(key.clone()).or_insert_with(|| {
-            order.push(key);
-            aggs.iter().map(|a| Accumulator::new(a.func)).collect()
-        });
-        for (acc, a) in accs.iter_mut().zip(aggs) {
-            let v = if a.func == AggFunc::CountStar {
-                Value::Bool(true) // placeholder; COUNT(*) counts rows
-            } else {
-                batch.value_at(row, a.col)
-            };
-            acc.update(&v)?;
-        }
-    }
-    Ok(())
 }
 
 /// Split `n` items into at most `parts` contiguous, near-equal ranges.

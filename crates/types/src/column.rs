@@ -14,7 +14,7 @@
 //! the selection instead of copying survivors, so a filtered batch shares
 //! its columns with its input untouched.
 
-use crate::value::Value;
+use crate::value::{Value, ValueRef};
 
 /// One attribute of a batch, stored column-wise.
 ///
@@ -76,6 +76,21 @@ impl ColumnVec {
             ColumnVec::Bool { data, .. } => Value::Bool(data[i]),
             ColumnVec::Str { data, .. } => Value::Str(data[i].clone()),
             ColumnVec::Mixed(v) => v[i].clone(),
+        }
+    }
+
+    /// Borrow row `i` as a [`ValueRef`] (no string clone).
+    #[inline]
+    pub fn cell(&self, i: usize) -> ValueRef<'_> {
+        if self.is_null_at(i) {
+            return ValueRef::Null;
+        }
+        match self {
+            ColumnVec::Int { data, .. } => ValueRef::Int(data[i]),
+            ColumnVec::Double { data, .. } => ValueRef::Double(data[i]),
+            ColumnVec::Bool { data, .. } => ValueRef::Bool(data[i]),
+            ColumnVec::Str { data, .. } => ValueRef::Str(&data[i]),
+            ColumnVec::Mixed(v) => v[i].view(),
         }
     }
 

@@ -31,4 +31,4 @@ pub use ids::{FragmentId, PeId, ProcessId, QueryId, TxnId};
 pub use schema::{Column, DataType, Schema};
 pub use stats::{ColumnStats, FragmentStatistics, Histogram, StatsFreshness};
 pub use tuple::Tuple;
-pub use value::Value;
+pub use value::{Value, ValueRef};

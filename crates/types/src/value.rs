@@ -140,6 +140,18 @@ impl Value {
         }
     }
 
+    /// Borrowed view of this value (no string clone).
+    #[inline]
+    pub fn view(&self) -> ValueRef<'_> {
+        match self {
+            Value::Null => ValueRef::Null,
+            Value::Bool(b) => ValueRef::Bool(*b),
+            Value::Int(i) => ValueRef::Int(*i),
+            Value::Double(d) => ValueRef::Double(*d),
+            Value::Str(s) => ValueRef::Str(s),
+        }
+    }
+
     /// Numeric addition with Int/Double coercion; NULL propagates.
     pub fn add(&self, other: &Value) -> Option<Value> {
         arith(self, other, |a, b| a.checked_add(b), |a, b| a + b)
@@ -241,6 +253,109 @@ impl Hash for Value {
     }
 }
 
+/// A borrowed [`Value`]: what a column cell reads as without cloning its
+/// string payload. Its equality, total order and hash are exactly
+/// `Value`'s (pinned by a test), so a cell compared or hashed in place
+/// agrees with the owned value it would materialize as. `Value` keeps its
+/// own copies: routing its hot `Ord` through this view made sorts of
+/// `Value`s measurably slower.
+#[derive(Debug, Clone, Copy)]
+pub enum ValueRef<'a> {
+    /// SQL NULL.
+    Null,
+    /// Boolean.
+    Bool(bool),
+    /// 64-bit signed integer.
+    Int(i64),
+    /// 64-bit IEEE float.
+    Double(f64),
+    /// Borrowed string.
+    Str(&'a str),
+}
+
+impl ValueRef<'_> {
+    /// True iff this is [`ValueRef::Null`].
+    #[inline]
+    pub fn is_null(self) -> bool {
+        matches!(self, ValueRef::Null)
+    }
+
+    /// Float payload; integers widen (as [`Value::as_double`]).
+    #[inline]
+    pub fn as_double(self) -> Option<f64> {
+        match self {
+            ValueRef::Double(d) => Some(d),
+            ValueRef::Int(i) => Some(i as f64),
+            _ => None,
+        }
+    }
+
+    /// The owned value (clones a string payload).
+    pub fn to_value(self) -> Value {
+        match self {
+            ValueRef::Null => Value::Null,
+            ValueRef::Bool(b) => Value::Bool(b),
+            ValueRef::Int(i) => Value::Int(i),
+            ValueRef::Double(d) => Value::Double(d),
+            ValueRef::Str(s) => Value::Str(s.to_owned()),
+        }
+    }
+
+    /// [`Value::total_cmp`].
+    #[inline]
+    pub fn total_cmp(self, other: ValueRef<'_>) -> Ordering {
+        use ValueRef::*;
+        match (self, other) {
+            (Null, Null) => Ordering::Equal,
+            (Null, _) => Ordering::Less,
+            (_, Null) => Ordering::Greater,
+            (Bool(a), Bool(b)) => a.cmp(&b),
+            (Bool(_), _) => Ordering::Less,
+            (_, Bool(_)) => Ordering::Greater,
+            (Int(a), Int(b)) => a.cmp(&b),
+            (Double(a), Double(b)) => a.total_cmp(&b),
+            (Int(a), Double(b)) => (a as f64).total_cmp(&b),
+            (Double(a), Int(b)) => a.total_cmp(&(b as f64)),
+            (Str(a), Str(b)) => a.cmp(b),
+            (Str(_), _) => Ordering::Greater,
+            (_, Str(_)) => Ordering::Less,
+        }
+    }
+}
+
+impl PartialEq for ValueRef<'_> {
+    #[inline]
+    fn eq(&self, other: &Self) -> bool {
+        self.total_cmp(*other) == Ordering::Equal
+    }
+}
+
+impl Hash for ValueRef<'_> {
+    #[inline]
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        // The byte stream of `Value::hash`.
+        match self {
+            ValueRef::Null => 0u8.hash(state),
+            ValueRef::Bool(b) => {
+                1u8.hash(state);
+                b.hash(state);
+            }
+            ValueRef::Int(i) => {
+                2u8.hash(state);
+                (*i as f64).to_bits().hash(state);
+            }
+            ValueRef::Double(d) => {
+                2u8.hash(state);
+                d.to_bits().hash(state);
+            }
+            ValueRef::Str(s) => {
+                3u8.hash(state);
+                s.hash(state);
+            }
+        }
+    }
+}
+
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -290,6 +405,39 @@ mod tests {
     use std::collections::hash_map::DefaultHasher;
 
     fn hash_of(v: &Value) -> u64 {
+        let mut h = DefaultHasher::new();
+        v.hash(&mut h);
+        h.finish()
+    }
+
+    #[test]
+    fn value_ref_agrees_with_value() {
+        let vals = [
+            Value::Null,
+            Value::Bool(false),
+            Value::Bool(true),
+            Value::Int(-1),
+            Value::Int(1),
+            Value::Int(i64::MAX),
+            Value::Double(1.0),
+            Value::Double(-0.0),
+            Value::Double(0.0),
+            Value::Double(1.5),
+            Value::Double(f64::NAN),
+            Value::Str(String::new()),
+            Value::Str("a".into()),
+            Value::Str("b".into()),
+        ];
+        for a in &vals {
+            assert_eq!(hash_of(a), hash_of_ref(a.view()), "{a}");
+            assert_eq!(a.view().to_value().total_cmp(a), Ordering::Equal, "{a}");
+            for b in &vals {
+                assert_eq!(a.total_cmp(b), a.view().total_cmp(b.view()), "{a} vs {b}");
+            }
+        }
+    }
+
+    fn hash_of_ref(v: ValueRef<'_>) -> u64 {
         let mut h = DefaultHasher::new();
         v.hash(&mut h);
         h.finish()

@@ -110,6 +110,9 @@ fn arb_null_double() -> impl Strategy<Value = Value> {
     prop_oneof![
         Just(Value::Null),
         (-80i64..80).prop_map(|v| Value::Double(v as f64 / 2.0)),
+        // Non-dyadic: sums of these round at every addition, so any
+        // re-association of a DOUBLE aggregate shows in the last bits.
+        (-80i64..80).prop_map(|v| Value::Double(v as f64 / 10.0)),
     ]
 }
 
@@ -1058,9 +1061,9 @@ proptest! {
     }
 
     // Same pinning over NULL-heavy nullable mixed-type data: filters,
-    // projections and grouped aggregates whose partials are folded at
-    // the pipeline breaker must not let worker count change NULL
-    // handling or merge order. (An oracle-side arithmetic fault skips
+    // projections and grouped aggregates whose group ids are computed
+    // per morsel must not let worker count change NULL handling, group
+    // order, or — with non-dyadic DOUBLE inputs — the rounding of a sum. (An oracle-side arithmetic fault skips
     // the oracle half, as in the other compiled-path properties.)
     #[test]
     fn pooled_execution_handles_nulls_like_serial(
@@ -1090,7 +1093,9 @@ proptest! {
             group_by: vec![0],
             aggs: vec![
                 AggExpr::new(AggFunc::CountStar, 0, "n"),
+                AggExpr::new(AggFunc::Count, 1, "nb"),
                 AggExpr::new(AggFunc::Sum, 2, "s"),
+                AggExpr::new(AggFunc::Sum, 1, "sb"),
                 AggExpr::new(AggFunc::Avg, 1, "avg"),
                 AggExpr::new(AggFunc::Min, 1, "mn"),
                 AggExpr::new(AggFunc::Max, 1, "mx"),
@@ -1099,7 +1104,7 @@ proptest! {
         for plan in [filtered, project, aggregate] {
             let physical = lower(&plan).unwrap();
             let serial = run_pooled(&physical, &db, None);
-            for workers in [2usize, 4] {
+            for workers in [1usize, 2, 4] {
                 let pool = prisma::poolx::WorkerPool::new(workers);
                 let pooled = run_pooled(&physical, &db, Some(Arc::clone(&pool)));
                 prop_assert_eq!(&pooled, &serial, "workers={} plan:\n{}", workers, plan);
@@ -1110,6 +1115,130 @@ proptest! {
                 prop_assert_eq!(got.tuples(), oracle.tuples(), "plan:\n{}", plan);
             }
         }
+    }
+}
+
+// ---------- the group table vs the oracle across key encodings ----------
+
+/// A group-key cell: NULL, or a small number stored as INT or as DOUBLE
+/// (`Int(k)` and `Double(k as f64)` are one group; `k + 0.5` is not).
+fn arb_key_cell() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        Just(Value::Null),
+        (-3i64..3).prop_map(Value::Int),
+        (-3i64..3).prop_map(|k| Value::Double(k as f64)),
+        (-3i64..3).prop_map(|k| Value::Double(k as f64 + 0.5)),
+    ]
+}
+
+fn arb_null_str() -> impl Strategy<Value = Value> {
+    prop_oneof![Just(Value::Null), "[a-b]{0,2}".prop_map(Value::Str)]
+}
+
+/// Rows `(key, str key, int, double, str)`.
+type GroupRow = (Value, Value, Value, Value, Value);
+
+fn group_row_tuple(r: &GroupRow) -> Tuple {
+    Tuple::new(vec![
+        r.0.clone(),
+        r.1.clone(),
+        r.2.clone(),
+        r.3.clone(),
+        r.4.clone(),
+    ])
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    // The typed group table agrees with the oracle's row-at-a-time
+    // accumulators exactly — same groups, same first-seen order, same
+    // bits — however the input's columns are stored: the same key may
+    // arrive in a typed INT or DOUBLE column in one batch and in a MIXED
+    // column (holding Int(k), Double(k) and NULL) in the next. Covers
+    // multi-column INT/DOUBLE + STRING keys, NULL keys, COUNT(*) vs
+    // COUNT(col) over NULLs, checked INT sums, non-dyadic DOUBLE sums,
+    // and STRING MIN/MAX; the pooled fold must match serial bit for bit.
+    #[test]
+    fn group_table_matches_oracle_across_key_encodings(
+        rows in prop::collection::vec(
+            (arb_key_cell(), arb_null_str(), (arb_null_int(), arb_null_double()), arb_null_str())
+                .prop_map(|(k, s, (i, d), t)| (k, s, i, d, t)),
+            0..48,
+        ),
+        cuts in prop::collection::vec((0usize..48, any::<bool>()), 0..4),
+    ) {
+        use prisma::relalg::{Batch, GroupTable};
+
+        let schema = Schema::new(vec![
+            Column::nullable("k", DataType::Double),
+            Column::nullable("s", DataType::Str),
+            Column::nullable("i", DataType::Int),
+            Column::nullable("d", DataType::Double),
+            Column::nullable("t", DataType::Str),
+        ]);
+        let aggs = vec![
+            AggExpr::new(AggFunc::CountStar, 0, "n"),
+            AggExpr::new(AggFunc::Count, 2, "ni"),
+            AggExpr::new(AggFunc::Sum, 2, "si"),
+            AggExpr::new(AggFunc::Avg, 2, "ai"),
+            AggExpr::new(AggFunc::Sum, 3, "sd"),
+            AggExpr::new(AggFunc::Avg, 3, "ad"),
+            AggExpr::new(AggFunc::Min, 3, "mind"),
+            AggExpr::new(AggFunc::Max, 2, "maxi"),
+            AggExpr::new(AggFunc::Min, 4, "mint"),
+            AggExpr::new(AggFunc::Max, 4, "maxt"),
+        ];
+        // Cut the rows into batches; a batch's key columns are either
+        // sniffed (typed when one runtime type occurs) or forced MIXED.
+        let mut bounds: Vec<(usize, bool)> = cuts
+            .iter()
+            .map(|&(at, mixed)| (at.min(rows.len()), mixed))
+            .collect();
+        bounds.sort();
+        bounds.push((rows.len(), false));
+        let mut batches = Vec::new();
+        let mut start = 0;
+        for &(end, mixed) in &bounds {
+            let part = &rows[start..end.max(start)];
+            start = end.max(start);
+            let cols: Vec<Arc<ColumnVec>> = (0..5)
+                .map(|c| {
+                    let vals: Vec<Value> =
+                        part.iter().map(|r| group_row_tuple(r).get(c).clone()).collect();
+                    Arc::new(if mixed && c < 2 {
+                        ColumnVec::Mixed(vals)
+                    } else {
+                        ColumnVec::from_values(vals.iter())
+                    })
+                })
+                .collect();
+            batches.push(Batch::columns(cols, SelVec::all(part.len())));
+        }
+
+        let mut db: HashMap<String, Relation> = HashMap::new();
+        db.insert("g".into(), Relation::new(schema.clone(), rows.iter().map(group_row_tuple).collect()));
+        let plan = LogicalPlan::Aggregate {
+            input: Box::new(LogicalPlan::scan("g", schema)),
+            group_by: vec![0, 1],
+            aggs: aggs.clone(),
+        };
+        let oracle = eval(&plan, &db).unwrap();
+
+        let mut serial = GroupTable::new(vec![0, 1], aggs.clone());
+        for batch in &batches {
+            serial.consume(batch).unwrap();
+        }
+        let serial: Vec<Tuple> =
+            serial.into_batches().into_iter().flat_map(Batch::into_tuples).collect();
+        prop_assert_eq!(&serial[..], oracle.tuples());
+
+        let pool = prisma::poolx::WorkerPool::new(2);
+        let mut pooled = GroupTable::new(vec![0, 1], aggs);
+        pooled.consume_pooled(&pool, &batches).unwrap();
+        let pooled: Vec<Tuple> =
+            pooled.into_batches().into_iter().flat_map(Batch::into_tuples).collect();
+        prop_assert_eq!(pooled, serial);
     }
 }
 
