@@ -1,25 +1,29 @@
-//! E6 — streamed batch shipping vs materialized result shipping.
+//! E6 — streamed batch shipping: time to first chunk vs full result.
 //!
 //! PRISMA's parallelism comes from fragments executing concurrently on
 //! separate PEs (paper §2.2); streamed batch shipping extends that
 //! concurrency across the exchange itself: OFMs ship every produced batch
-//! as its own `BatchChunk`, so the coordinator merges early batches while
-//! fragments are still scanning. This experiment measures what the
-//! overlap buys on a multi-fragment scan: the coordinator's
-//! **time-to-first-batch** (`ExecMetrics::first_batch_micros`) and the
-//! full-result latency, streamed vs the materialized baseline
-//! (`set_streaming(false)`: same messages, but each OFM drains its
-//! subplan before the first ship). Records the trajectory in
-//! `BENCH_e6.json` at the repo root.
+//! as its own `BatchChunk`, and the coordinator merges each fragment's
+//! batches once that fragment's stream ends, while other fragments are
+//! still scanning. This experiment records the coordinator's
+//! **time-to-first-batch** (`ExecMetrics::first_batch_micros`, when the
+//! first chunk *arrives*) against the streamed run's own full-result
+//! latency (`ExecMetrics::full_result_micros`) on a multi-fragment scan.
+//!
+//! The gate only records the overlap: a drain-first reply path, which
+//! ships nothing until its subplan is done, would pass it too (the last
+//! measured drain-first run reached its first batch at 13,844 µs of a
+//! 16,964 µs full result; CHANGES.md keeps the figures). Shipping each
+//! batch as it is produced is the only way the OFM ships at all.
+//! Records the trajectory in `BENCH_e6.json` at the repo root.
 //!
 //! Environment knobs (all optional):
 //!
 //! * `E6_ROWS`    — total row count across fragments (default 100000)
 //! * `E6_FRAGS`   — fragment count (default 4)
 //! * `E6_ITERS`   — timed samples per measurement (default 15)
-//! * `E6_SMOKE=1` — skip nothing extra today; reserved for CI parity
-//! * `E6_ENFORCE=1` — exit non-zero unless the streamed path reaches its
-//!   first batch sooner than the materialized path
+//! * `E6_ENFORCE=1` — exit non-zero unless the first batch arrives before
+//!   the full result is merged
 
 use prisma_core::types::tuple;
 use prisma_core::PrismaMachine;
@@ -66,12 +70,11 @@ fn write_json(
     frags: usize,
     iters: usize,
     streamed: &Measured,
-    materialized: &Measured,
 ) {
-    let speedup = materialized.ttfb_us as f64 / streamed.ttfb_us.max(1) as f64;
+    let share = streamed.ttfb_us as f64 / streamed.full_us.max(1) as f64;
     let json = format!(
-        "{{\n  \"experiment\": \"e6_stream_shipping\",\n  \"rows\": {rows},\n  \"fragments\": {frags},\n  \"iters\": {iters},\n  \"benches\": {{\n    \"time_to_first_batch_us\": {{\"streamed\": {}, \"materialized\": {}, \"speedup\": {speedup:.2}}},\n    \"full_result_us\": {{\"streamed\": {}, \"materialized\": {}}}\n  }}\n}}\n",
-        streamed.ttfb_us, materialized.ttfb_us, streamed.full_us, materialized.full_us,
+        "{{\n  \"experiment\": \"e6_stream_shipping\",\n  \"rows\": {rows},\n  \"fragments\": {frags},\n  \"iters\": {iters},\n  \"benches\": {{\n    \"time_to_first_batch_us\": {},\n    \"full_result_us\": {},\n    \"first_batch_share_of_full\": {share:.3}\n  }}\n}}\n",
+        streamed.ttfb_us, streamed.full_us,
     );
     if let Err(e) = std::fs::write(path, json) {
         eprintln!("[E6-stream] could not write {}: {e}", path.display());
@@ -86,7 +89,7 @@ fn main() {
     let iters = env_usize("E6_ITERS", 15);
     let enforce = std::env::var("E6_ENFORCE").is_ok_and(|v| v == "1");
 
-    let mut db = PrismaMachine::builder().pes(8).build().unwrap();
+    let db = PrismaMachine::builder().pes(8).build().unwrap();
     db.sql(&format!(
         "CREATE TABLE t (a INT, b INT) FRAGMENTED BY HASH(a) INTO {frags}"
     ))
@@ -105,33 +108,20 @@ fn main() {
     let sql = "SELECT a, b FROM t WHERE b < 90";
 
     let streamed = measure(&db, sql, iters);
-    db.gdh_mut().set_streaming(false);
-    let materialized = measure(&db, sql, iters);
-    db.gdh_mut().set_streaming(true);
-
     eprintln!(
-        "[E6-stream:streamed]     first batch after {} µs, full result after {} µs",
+        "[E6-stream] first batch after {} µs, full result after {} µs",
         streamed.ttfb_us, streamed.full_us
-    );
-    eprintln!(
-        "[E6-stream:materialized] first batch after {} µs, full result after {} µs",
-        materialized.ttfb_us, materialized.full_us
-    );
-    eprintln!(
-        "[E6-stream] coordinator time-to-first-batch: {:.2}x sooner streamed",
-        materialized.ttfb_us as f64 / streamed.ttfb_us.max(1) as f64
     );
 
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_e6.json");
-    write_json(&root, rows, frags, iters, &streamed, &materialized);
+    write_json(&root, rows, frags, iters, &streamed);
 
     if enforce {
         assert!(
-            streamed.ttfb_us < materialized.ttfb_us,
-            "streaming lost its pipelining advantage: first batch after {} µs streamed \
-             vs {} µs materialized",
+            streamed.ttfb_us < streamed.full_us,
+            "no scan/merge overlap: first batch after {} µs, full result after {} µs",
             streamed.ttfb_us,
-            materialized.ttfb_us
+            streamed.full_us
         );
     }
     db.shutdown();

@@ -200,19 +200,6 @@ impl GlobalDataHandler {
         self.executor.set_physical_config(cfg);
     }
 
-    /// Toggle streamed batch shipping on the parallel executor. `false`
-    /// selects the materialized baseline — OFMs run their subplan to
-    /// completion before the first ship — kept only so the E6 experiment
-    /// can measure what the overlap buys.
-    pub fn set_streaming(&mut self, streaming: bool) {
-        self.executor.set_streaming(streaming);
-    }
-
-    /// Whether fragment replies currently stream per batch.
-    pub fn executor_streaming(&self) -> bool {
-        self.executor.streaming()
-    }
-
     /// Toggle the columnar wire format on the parallel executor.
     /// `false` selects the historical row wire (chunks carry row
     /// batches) — the E11 baseline and the compatibility escape hatch;

@@ -11,19 +11,18 @@
 //! opens a *batch stream*: the OFM ships every produced batch as its own
 //! [`GdhMsg::BatchChunk`] (sequence-numbered per stream) the moment the
 //! executor yields it, and terminates the stream with a
-//! [`GdhMsg::StreamEnd`] carrying the chunk count and per-stream stats —
-//! so the coordinator merges early batches while the fragment is still
-//! scanning (pipelined parallelism across PEs, the paper's intra-query
-//! parallelism applied to the exchange itself). Grace-join repartitioning
-//! streams the same way: each produced batch is hash-partitioned on the
-//! spot and shipped as a [`GdhMsg::PartitionChunk`]. The coordinator
-//! reassembles per-stream order with
-//! [`prisma_multicomputer::StreamReassembly`]; errors and timeouts are
-//! reported per stream with the owning query and fragment named.
+//! [`GdhMsg::StreamEnd`] carrying the chunk count and per-stream stats.
+//! This is the protocol's one reply form. The coordinator reassembles
+//! per-stream order with [`prisma_multicomputer::StreamReassembly`] and
+//! merges a stream's batches once its `StreamEnd` has arrived (a stream
+//! re-requested after a fault replays from scratch), so the exchange
+//! overlaps **across fragments**: a finished fragment's batches merge
+//! while other fragments still scan. Errors and timeouts are reported
+//! per stream with the owning query and fragment named.
 //!
 //! ## Direct fragment→fragment shuffle (grace joins)
 //!
-//! With streaming on, grace-join buckets never touch the coordinator:
+//! Grace-join buckets never touch the coordinator:
 //! the coordinator installs one [`GdhMsg::ShuffleJoin`] task per phase-2
 //! site (a fragment actor of the probe relation, chosen by the
 //! optimizer's shuffle placement map) and sends both sides'
@@ -38,8 +37,6 @@
 //! streams the join result to the coordinator as an ordinary
 //! `BatchChunk`/`StreamEnd` reply whose stats carry the
 //! fragment→fragment bits received ([`StreamStats::shuffled_bits`]).
-//! The coordinator-relay path survives behind `stream: false` as the
-//! measured baseline (E7).
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -63,15 +60,11 @@ pub struct StreamStats {
     /// direct shuffle (0 for ordinary subplan streams) — what the
     /// coordinator folds into `ExecMetrics::shuffled_direct_bits`.
     pub shuffled_bits: u64,
-    /// Coordinator bits the direct shuffle avoided for this site's
-    /// buckets: every received bit would have crossed to the
-    /// coordinator once, and the bits of **two-sided** buckets would
-    /// have been re-shipped back out (the relay skips one-sided
-    /// buckets, which join to nothing) — so this is `shuffled_bits +
-    /// Σ(two-sided bucket bits)`, matching the relay baseline's
-    /// `relayed_bits` exactly.
-    pub relay_saved_bits: u64,
 }
+
+/// Wire size of a shuffle plan message ([`GdhMsg::ShuffleSubplan`],
+/// [`GdhMsg::ShuffleJoin`]): one control packet, whatever the plan.
+pub(crate) const SHUFFLE_PLAN_MSG_BYTES: usize = 64;
 
 /// Which side of a partitioned join a shuffle stream feeds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -204,10 +197,6 @@ pub enum GdhMsg {
         reply_to: ProcessId,
         /// Correlation tag (one stream per tag).
         tag: u64,
-        /// Ship each batch as it is produced (true, the pipelined path)
-        /// or run the subplan to completion before the first ship (the
-        /// materialized baseline the E6 experiment compares against).
-        stream: bool,
         /// Ship batches as encoded column blocks (true) or legacy rows.
         columnar: bool,
     },
@@ -222,37 +211,7 @@ pub enum GdhMsg {
         /// The batch payload in its wire form (column blocks or rows).
         data: ChunkData,
     },
-    /// Grace-join phase 1: run the subplan and hash-partition its output
-    /// on `key_cols` into `parts` buckets, streaming each produced
-    /// batch's buckets as a `PartitionChunk`.
-    Repartition {
-        /// The query this stream belongs to.
-        query_id: QueryId,
-        /// The physical subplan producing this side of the join.
-        plan: Box<PhysicalPlan>,
-        /// Join-key ordinals in the subplan's output.
-        key_cols: Vec<usize>,
-        /// Bucket count.
-        parts: usize,
-        /// Where to send the bucket stream.
-        reply_to: ProcessId,
-        /// Correlation tag (one stream per tag).
-        tag: u64,
-        /// Per-batch bucket shipping (true) or materialize-then-ship.
-        stream: bool,
-    },
-    /// One batch's worth of buckets from a `Repartition` reply stream.
-    PartitionChunk {
-        /// The owning query.
-        query_id: QueryId,
-        /// Correlation tag of the stream.
-        tag: u64,
-        /// Position in the stream (0-based).
-        seq: u64,
-        /// One (possibly empty) tuple bucket per partition.
-        buckets: Vec<Vec<Tuple>>,
-    },
-    /// Terminal message of a `RunSubplan`/`Repartition` reply stream:
+    /// Terminal message of a `RunSubplan`/`ShuffleJoin` reply stream:
     /// how many chunks the stream comprised (so a coordinator can detect
     /// chunks still in flight even when this marker overtakes them) and
     /// the fragment's stats — or the fragment-local error.
@@ -360,8 +319,6 @@ pub enum GdhMsg {
         reply_to: ProcessId,
         /// Correlation tag of the reply stream.
         tag: u64,
-        /// Ship the join result per batch (true) or materialized.
-        stream: bool,
         /// Ship the reply stream as encoded column blocks (true) or rows.
         columnar: bool,
     },
@@ -534,15 +491,7 @@ impl WireMessage for GdhMsg {
                     .map(|r| (r.wire_bits() / 8) as usize)
                     .sum::<usize>()
             }
-            GdhMsg::Repartition { .. } => 64,
-            GdhMsg::PartitionChunk { buckets, .. } => {
-                32 + buckets
-                    .iter()
-                    .flatten()
-                    .map(|t| (t.wire_bits() / 8) as usize)
-                    .sum::<usize>()
-            }
-            GdhMsg::ShuffleSubplan { .. } | GdhMsg::ShuffleJoin { .. } => 64,
+            GdhMsg::ShuffleSubplan { .. } | GdhMsg::ShuffleJoin { .. } => SHUFFLE_PLAN_MSG_BYTES,
             GdhMsg::ShuffleChunk { buckets, .. } => {
                 32 + buckets
                     .iter()
@@ -612,7 +561,6 @@ struct ShuffleTask {
     owned: HashSet<usize>,
     reply_to: ProcessId,
     tag: u64,
-    stream: bool,
     /// Wire format of the reply stream to the coordinator.
     columnar: bool,
     left: ShuffleSideState,
@@ -620,10 +568,6 @@ struct ShuffleTask {
     /// Bits received fragment→fragment, reported to the coordinator in
     /// the reply's [`StreamStats::shuffled_bits`].
     shuffled_bits: u64,
-    /// Received bits per `(bucket, side)` — at completion, buckets with
-    /// both sides non-empty are the ones the relay baseline would have
-    /// re-shipped ([`StreamStats::relay_saved_bits`]).
-    bucket_bits: HashMap<usize, [u64; 2]>,
 }
 
 impl ShuffleTask {
@@ -751,18 +695,14 @@ impl OfmActor {
 }
 
 impl OfmActor {
-    /// Run `plan` and ship its output as a chunk stream: one message per
-    /// produced batch (mapped through `to_chunk`, which also reports how
-    /// many rows the chunk carries — repartition chunks drop NULL-key
-    /// rows, so the shipped count can differ from the produced count),
-    /// then the terminal `StreamEnd` advertising the chunk count and the
-    /// total rows shipped (the coordinator cross-checks both). With
-    /// `stream = false` the subplan is drained fully before the first
-    /// ship — the materialized baseline.
-    ///
-    /// Each `next_batch()`/`send` alternation is the pipelining seam:
-    /// the send crosses the interconnect while this actor keeps scanning,
-    /// so the coordinator's merge overlaps fragment execution.
+    /// Run `plan` and ship its output as a batch stream: each produced
+    /// batch goes out as its own [`GdhMsg::BatchChunk`] (in the wire form
+    /// `columnar` picks) the moment the executor yields it, then the
+    /// terminal `StreamEnd` advertises the chunk count and the total rows
+    /// shipped (the coordinator cross-checks both). The send crosses the
+    /// interconnect while this actor keeps scanning; the coordinator
+    /// merges the stream once its `StreamEnd` has arrived, so the overlap
+    /// it buys is across fragments.
     #[allow(clippy::too_many_arguments)]
     fn ship_stream(
         &self,
@@ -771,10 +711,9 @@ impl OfmActor {
         reply_to: ProcessId,
         query_id: QueryId,
         tag: u64,
-        stream: bool,
+        columnar: bool,
         base_stats: StreamStats,
         ctx: &mut Ctx<'_, GdhMsg>,
-        mut to_chunk: impl FnMut(u64, Batch) -> (u64, GdhMsg),
     ) {
         let end = |result, seq_count| GdhMsg::StreamEnd {
             query_id,
@@ -789,33 +728,26 @@ impl OfmActor {
                 return;
             }
         };
-        let mut held = Vec::new(); // materialized mode parks chunks here
         let mut held_back = Vec::new(); // fault-delayed chunks
         let mut seq = 0u64;
         let mut rows = 0u64;
         loop {
             match source.next_batch() {
                 Ok(Some(batch)) => {
-                    // The batch reaches `to_chunk` in whatever form the
-                    // executor produced; the closure picks the wire form
-                    // (encoded column blocks or pivoted rows).
-                    let (chunk_rows, msg) = to_chunk(seq, batch);
-                    rows += chunk_rows;
-                    if stream {
-                        if self.faulted_send(ctx, reply_to, msg, &mut held_back).is_err() {
-                            return; // requester is gone; abandon the stream
-                        }
-                    } else {
-                        held.push(msg);
+                    let data = ChunkData::from_batch(batch, columnar);
+                    rows += data.rows();
+                    let msg = GdhMsg::BatchChunk {
+                        query_id,
+                        tag,
+                        seq,
+                        data,
+                    };
+                    if self.faulted_send(ctx, reply_to, msg, &mut held_back).is_err() {
+                        return; // requester is gone; abandon the stream
                     }
                     seq += 1;
                 }
                 Ok(None) => {
-                    for msg in held {
-                        if self.faulted_send(ctx, reply_to, msg, &mut held_back).is_err() {
-                            return;
-                        }
-                    }
                     if self.flush_held(ctx, &mut held_back).is_err() {
                         return;
                     }
@@ -833,10 +765,9 @@ impl OfmActor {
                 }
                 Err(e) => {
                     // Chunks already shipped stay valid; the error ends
-                    // the stream (materialized mode ships nothing).
+                    // the stream.
                     let _ = self.flush_held(ctx, &mut held_back);
-                    let shipped = if stream { seq } else { 0 };
-                    let _ = ctx.send(reply_to, end(Err(e), shipped));
+                    let _ = ctx.send(reply_to, end(Err(e), seq));
                     return;
                 }
             }
@@ -859,17 +790,6 @@ impl OfmActor {
                 tag: *tag,
                 seq: *seq,
                 data: data.clone(),
-            }),
-            GdhMsg::PartitionChunk {
-                query_id,
-                tag,
-                seq,
-                buckets,
-            } => Some(GdhMsg::PartitionChunk {
-                query_id: *query_id,
-                tag: *tag,
-                seq: *seq,
-                buckets: buckets.clone(),
             }),
             GdhMsg::ShuffleChunk {
                 query_id,
@@ -1035,8 +955,7 @@ impl OfmActor {
                     // batch is never pivoted to rows here), then build
                     // each bucket's wire payload: an encoded column
                     // block on the columnar wire, gathered tuples on
-                    // the row baseline. Placement is bit-identical
-                    // across both wires (same key hash, same NULL drop).
+                    // the row wire. Placement is the same on both wires.
                     let positions = prisma_relalg::exec::partition_positions(
                         &batch,
                         key_cols,
@@ -1140,7 +1059,6 @@ impl OfmActor {
         right_streams: &[u64],
         reply_to: ProcessId,
         tag: u64,
-        stream: bool,
         columnar: bool,
         ctx: &mut Ctx<'_, GdhMsg>,
     ) {
@@ -1173,12 +1091,10 @@ impl OfmActor {
             owned: buckets.into_iter().collect(),
             reply_to,
             tag,
-            stream,
             columnar,
             left: ShuffleSideState::expecting(left_streams),
             right: ShuffleSideState::expecting(right_streams),
             shuffled_bits: 0,
-            bucket_bits: HashMap::new(),
         });
         self.shuffles.insert(key, ShuffleState::Active(task));
         for msg in pending {
@@ -1253,18 +1169,13 @@ impl OfmActor {
                 buckets,
                 ..
             } => {
-                for (bucket, _) in &buckets {
+                for (bucket, data) in &buckets {
                     if !task.owned.contains(bucket) {
                         return Err(PrismaError::Execution(format!(
                             "shuffle stream {tag}: chunk for bucket {bucket} this site does not own"
                         )));
                     }
-                }
-                let side_idx = (side == ShuffleSide::Right) as usize;
-                for (bucket, data) in &buckets {
-                    let bits = data.wire_bits();
-                    task.shuffled_bits += bits;
-                    task.bucket_bits.entry(*bucket).or_default()[side_idx] += bits;
+                    task.shuffled_bits += data.wire_bits();
                 }
                 let state = task.side_mut(side);
                 let mut released: Vec<ShufflePayload> = Vec::new();
@@ -1338,48 +1249,23 @@ impl OfmActor {
                 }
             }
         }
-        // What the relay baseline would have moved through the
-        // coordinator for these buckets: everything crosses in once;
-        // only two-sided buckets are re-shipped out (one-sided buckets
-        // join to nothing and the relay skips them).
-        let reshipped: u64 = task
-            .bucket_bits
-            .values()
-            .filter(|b| b[0] > 0 && b[1] > 0)
-            .map(|b| b[0] + b[1])
-            .sum();
         let stats = StreamStats {
             rows: 0, // filled by ship_stream
             shuffled_bits: task.shuffled_bits,
-            relay_saved_bits: task.shuffled_bits + reshipped,
         };
         let extra = shuffle_extras(
             Relation::new(task.lschema.clone(), task.left.rows),
             Relation::new(task.rschema.clone(), task.right.rows),
         );
-        let tag = task.tag;
-        let columnar = task.columnar;
         self.ship_stream(
             &task.plan,
             &extra,
             task.reply_to,
             query_id,
-            tag,
-            task.stream,
+            task.tag,
+            task.columnar,
             stats,
             ctx,
-            |seq, batch| {
-                let data = ChunkData::from_batch(batch, columnar);
-                (
-                    data.rows(),
-                    GdhMsg::BatchChunk {
-                        query_id,
-                        tag,
-                        seq,
-                        data,
-                    },
-                )
-            },
         );
     }
 }
@@ -1400,7 +1286,6 @@ impl Process<GdhMsg> for OfmActor {
                 extra,
                 reply_to,
                 tag,
-                stream,
                 columnar,
             } => {
                 self.ofm.seal_for_scan();
@@ -1410,21 +1295,9 @@ impl Process<GdhMsg> for OfmActor {
                     reply_to,
                     query_id,
                     tag,
-                    stream,
+                    columnar,
                     StreamStats::default(),
                     ctx,
-                    |seq, batch| {
-                        let data = ChunkData::from_batch(batch, columnar);
-                        (
-                            data.rows(),
-                            GdhMsg::BatchChunk {
-                                query_id,
-                                tag,
-                                seq,
-                                data,
-                            },
-                        )
-                    },
                 );
             }
             GdhMsg::ShuffleSubplan {
@@ -1455,7 +1328,6 @@ impl Process<GdhMsg> for OfmActor {
                 right_streams,
                 reply_to,
                 tag,
-                stream,
                 columnar,
             } => {
                 self.install_shuffle_join(
@@ -1469,54 +1341,12 @@ impl Process<GdhMsg> for OfmActor {
                     &right_streams,
                     reply_to,
                     tag,
-                    stream,
                     columnar,
                     ctx,
                 );
             }
             msg @ (GdhMsg::ShuffleChunk { .. } | GdhMsg::ShuffleEnd { .. }) => {
                 self.on_shuffle_traffic(msg, ctx);
-            }
-            GdhMsg::Repartition {
-                query_id,
-                plan,
-                key_cols,
-                parts,
-                reply_to,
-                tag,
-                stream,
-            } => {
-                // Buckets ship per produced batch: partition each batch
-                // on the spot instead of materializing the whole side.
-                self.ofm.seal_for_scan();
-                self.ship_stream(
-                    &plan,
-                    &HashMap::new(),
-                    reply_to,
-                    query_id,
-                    tag,
-                    stream,
-                    StreamStats::default(),
-                    ctx,
-                    |seq, batch| {
-                        let buckets = prisma_relalg::exec::partition_batches(
-                            vec![batch],
-                            &key_cols,
-                            parts,
-                        );
-                        // NULL-key rows were dropped: advertise what ships.
-                        let rows = buckets.iter().map(|b| b.len() as u64).sum();
-                        (
-                            rows,
-                            GdhMsg::PartitionChunk {
-                                query_id,
-                                tag,
-                                seq,
-                                buckets,
-                            },
-                        )
-                    },
-                );
             }
             GdhMsg::Insert {
                 txn,
@@ -1659,7 +1489,6 @@ impl Process<GdhMsg> for OfmActor {
             }
             // Replies arriving at an OFM are protocol errors; ignore.
             GdhMsg::BatchChunk { .. }
-            | GdhMsg::PartitionChunk { .. }
             | GdhMsg::StreamEnd { .. }
             | GdhMsg::DmlDone { .. }
             | GdhMsg::Vote { .. }

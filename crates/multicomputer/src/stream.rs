@@ -198,6 +198,12 @@ impl<T> StreamReassembly<T> {
         self.streams.is_empty()
     }
 
+    /// True once stream `tag` has delivered all its chunks and its end
+    /// marker.
+    pub fn is_complete(&self, tag: u64) -> bool {
+        self.done.contains(&tag)
+    }
+
     /// Streams completed so far.
     pub fn completed(&self) -> usize {
         self.done.len()

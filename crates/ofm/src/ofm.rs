@@ -461,8 +461,8 @@ impl Ofm {
     /// resumable [`prisma_relalg::BatchStream`] — the seam the streaming
     /// wire protocol pulls through: the OFM actor alternates
     /// [`prisma_relalg::BatchStream::next_batch`] with shipping the
-    /// batch, so the coordinator merges early batches while
-    /// this fragment is still scanning. Inside `plan`, `Scan(self.name())`
+    /// batch, so batches cross the interconnect while this fragment is
+    /// still scanning. Inside `plan`, `Scan(self.name())`
     /// reads this fragment; `extra` supplies shipped-in build sides and
     /// other intermediates by name (already `Arc`-shared, so broadcast
     /// sides are never copied per fragment).
@@ -515,7 +515,7 @@ impl Ofm {
     }
 
     /// Execute a lowered physical subplan to completion, returning every
-    /// batch at once (the materialized path; the actor hot path streams
+    /// batch at once (a convenience; the actor ships batch by batch
     /// through [`Ofm::open_physical`] instead). Batches are pivoted to
     /// row form for the embedder- and test-facing callers of this
     /// convenience; the wire path encodes straight from

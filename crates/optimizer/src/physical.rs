@@ -547,10 +547,9 @@ fn map_children(
 
 /// Record in the EXPLAIN trace how each exchange (fragment→coordinator
 /// data movement) ships its data. Base-relation scans and grace-join
-/// repartitioning **stream** — one `BatchChunk`/`PartitionChunk` message
-/// per produced batch, merged while fragments still scan — while a
-/// broadcast join's build side is the one remaining **materialized**
-/// exchange (it must be complete before it is copied to every fragment).
+/// shuffles **stream** — one `BatchChunk`/`ShuffleChunk` message per
+/// produced batch — while a broadcast join's build side is the one
+/// exchange that must be complete before it is copied to every fragment.
 fn note_exchanges(plan: &PhysicalPlan, trace: &mut Trace) {
     match plan {
         PhysicalPlan::SeqScan { relation, .. } if !relation.starts_with("__") => {

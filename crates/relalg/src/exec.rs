@@ -443,9 +443,9 @@ pub fn execute_physical(plan: &PhysicalPlan, provider: &dyn RelationProvider) ->
     Ok(collect_batches(schema, batches))
 }
 
-/// Execute a physical plan, returning the raw batch stream (what an OFM
-/// ships back to the coordinator — all at once; the streaming wire path
-/// pulls batches one at a time through [`open_batches`] instead).
+/// Execute a physical plan, returning every batch at once (the OFM's
+/// wire path pulls batches one at a time through [`open_batches`]
+/// instead).
 pub fn execute_batches(plan: &PhysicalPlan, provider: &dyn RelationProvider) -> Result<Vec<Batch>> {
     open_batches(plan, provider)?.drain()
 }
@@ -455,8 +455,8 @@ pub fn execute_batches(plan: &PhysicalPlan, provider: &dyn RelationProvider) -> 
 ///
 /// This is the seam the streaming wire protocol hangs off: an OFM opens
 /// its subplan once, then alternates [`BatchStream::next_batch`] with
-/// shipping the produced batch, so the coordinator merges early batches
-/// while the fragment is still scanning. Scans resolve their relations at
+/// shipping the produced batch, so batches cross the interconnect while
+/// the fragment is still scanning. Scans resolve their relations at
 /// `open` time, so the stream owns its operator tree outright (no borrow
 /// of the provider survives) and can be suspended between batches for as
 /// long as the consumer likes.
@@ -805,29 +805,12 @@ pub fn key_hash(key: &[Value]) -> u64 {
     h.finish()
 }
 
-/// Split batches into `parts` buckets by join-key hash. Rows with a NULL
-/// key component are dropped — SQL equi-joins never match NULL keys, so
-/// they cannot contribute to any bucket's join result.
-pub fn partition_batches(batches: Vec<Batch>, key_cols: &[usize], parts: usize) -> Vec<Vec<Tuple>> {
-    let mut buckets: Vec<Vec<Tuple>> = (0..parts).map(|_| Vec::new()).collect();
-    for batch in batches {
-        for t in batch.into_tuples() {
-            let key = t.key(key_cols);
-            if key.iter().any(Value::is_null) {
-                continue;
-            }
-            let idx = (key_hash(&key) % parts as u64) as usize;
-            buckets[idx].push(t);
-        }
-    }
-    buckets
-}
-
 /// Split one batch's live rows into `parts` buckets of row *positions*
-/// (indices into `0..batch.len()`) by join-key hash, reading keys straight
-/// from the columnar form. Bucket placement is bit-identical to
-/// [`partition_batches`] — same [`key_hash`], same NULL-key drop rule — so
-/// the columnar and row shuffle wires route every row to the same site.
+/// (indices into `0..batch.len()`) by [`key_hash`] of the join key, read
+/// straight from the columnar form — the grace-join shuffle's
+/// partitioner. Rows with a NULL key component are dropped: SQL
+/// equi-joins never match NULL keys, so they cannot contribute to any
+/// bucket's join result.
 pub fn partition_positions(batch: &Batch, key_cols: &[usize], parts: usize) -> Vec<Vec<u32>> {
     let mut buckets: Vec<Vec<u32>> = (0..parts).map(|_| Vec::new()).collect();
     for row in 0..batch.len() {
@@ -1605,19 +1588,48 @@ mod tests {
             Schema::new(vec![Column::nullable("k", DataType::Int)]),
             vec![tuple![1], tuple![2], Tuple::new(vec![Value::Null]), tuple![1]],
         ));
-        let batches = vec![Batch::shared(rel, 0, 4)];
-        let parts = partition_batches(batches, &[0], 3);
+        let parts = partition_positions(&Batch::shared(rel, 0, 4), &[0], 3);
         let total: usize = parts.iter().map(Vec::len).sum();
         assert_eq!(total, 3, "NULL key dropped");
+        assert!(parts.iter().all(|b| !b.contains(&2)), "NULL-key row placed");
         // Equal keys land in the same bucket.
-        let with_one: Vec<usize> = parts
-            .iter()
-            .enumerate()
-            .filter(|(_, b)| b.iter().any(|t| t.get(0) == &Value::Int(1)))
-            .map(|(i, _)| i)
-            .collect();
-        assert_eq!(with_one.len(), 1);
-        assert_eq!(parts[with_one[0]].iter().filter(|t| t.get(0) == &Value::Int(1)).count(), 2);
+        let bucket_of = |row: u32| parts.iter().position(|b| b.contains(&row));
+        assert_eq!(bucket_of(0), bucket_of(3));
+    }
+
+    #[test]
+    fn partitioning_a_filtered_columnar_batch_encodes_only_live_rows() {
+        // Six rows, four selected: positions index the *live* rows, the
+        // unselected key 7 must never be placed, and the live NULL keys
+        // (positions 1 and 3) are dropped.
+        let keys = [5, -1, 7, 5, -1, 9].map(|k| if k < 0 { Value::Null } else { Value::Int(k) });
+        let tags = ["a", "b", "c", "d", "e", "f"].map(|t| Value::Str(t.into()));
+        let batch = Batch::columns(
+            vec![
+                Arc::new(ColumnVec::from_values(keys.iter())),
+                Arc::new(ColumnVec::from_values(tags.iter())),
+            ],
+            SelVec::from_indices(6, vec![0, 1, 3, 4, 5]),
+        );
+        let live = batch.tuples().to_vec();
+        assert_eq!(live.len(), 5);
+        for parts in [1, 2, 4] {
+            let buckets = partition_positions(&batch, &[0], parts);
+            let mut placed = buckets.concat();
+            placed.sort_unstable();
+            assert_eq!(placed, vec![0, 2, 4], "parts={parts}");
+            for (j, positions) in buckets.iter().enumerate() {
+                for &p in positions {
+                    let key = live[p as usize].key(&[0]);
+                    assert_eq!((key_hash(&key) % parts as u64) as usize, j, "parts={parts}");
+                }
+                // The bucket's wire frame decodes to exactly its rows.
+                let decoded = Batch::from_block(&batch.encode_positions(positions)).unwrap();
+                let expected: Vec<Tuple> =
+                    positions.iter().map(|&p| live[p as usize].clone()).collect();
+                assert_eq!(decoded.tuples(), &expected[..], "parts={parts} bucket={j}");
+            }
+        }
     }
 
     #[test]

@@ -94,8 +94,7 @@ const VTAG_BOOL: u8 = 3;
 const VTAG_STR: u8 = 4;
 
 /// True unless the `PRISMA_ROW_WIRE=1` environment flag asks for the legacy
-/// row wire — the bench-baseline escape hatch, mirroring how
-/// `set_streaming(false)` preserves the materialized reply path.
+/// row wire — the E11 bench baseline's escape hatch.
 pub fn columnar_wire_default() -> bool {
     std::env::var("PRISMA_ROW_WIRE").map_or(true, |v| v != "1")
 }
